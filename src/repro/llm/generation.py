@@ -5,11 +5,15 @@ most 100 generated tokens.  Generation optionally consumes the two prompt
 conditioning mechanisms (soft-prompt embeddings and per-layer KV prefixes).
 
 Decoding is incremental by default: the prompt (soft prompt included) is
-run through the model once with ``use_cache=True`` (*prefill*), and every
-subsequent token is a single-position forward against the growing
+run through the model once (*prefill*), and every subsequent token is a
+single-position forward against the growing
 :class:`~repro.llm.kv_cache.KVCache` — O(T) per step instead of re-running
-the whole sequence.  ``use_cache=False`` keeps the original full-reforward
-loop; both paths emit identical token ids under identical seeds.
+the whole sequence.  Both run the no-autograd kernel of
+:mod:`repro.llm.infer` (bit-identical to the autograd ``forward`` with
+``use_cache=True``) and never touch the model's train/eval flag.
+``use_cache=False`` keeps the original full-reforward loop through the
+autograd ``forward``; both paths emit identical token ids under identical
+seeds.
 
 The prefill/decode split is also public (:func:`prefill`,
 :func:`decode_from`) so the serving engine can run a prompt's prefill once
@@ -35,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from ..ag import Tensor, cat, no_grad
+from . import infer
 from .attention import KVPrefix
 from .kv_cache import BatchedKVCache, KVCache
 from .transformer import TinyCausalLM
@@ -130,34 +135,23 @@ def prefill(
 ) -> PrefillState:
     """Run the prompt once with a KV cache and return the decode-ready state.
 
-    Raises ``ValueError`` when the prompt (plus soft-prompt rows) already
-    fills the context window — there would be no room to generate.
+    Runs the no-autograd prefill kernel (:func:`repro.llm.infer.prefill`,
+    eval semantics).  Raises ``ValueError`` when the prompt (plus
+    soft-prompt rows) already fills the context window — there would be
+    no room to generate.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
     if token_ids.size == 0:
         raise ValueError("prefill() needs at least one prompt token")
     virtual_len = _virtual_len(soft_prompt)
     _check_room(model, token_ids.size, virtual_len)
-    # Toggle train/eval only when needed, so decoding a model already in
-    # eval mode writes no shared module state.  Module mode (unlike grad
-    # mode) is not thread-local: callers that decode concurrently must keep
-    # the model pinned to eval, as the serving engine does.
-    was_training = model.training
-    if was_training:
-        model.eval()
-    try:
-        with no_grad():
-            if soft_prompt is None:
-                logits, cache = model(token_ids[None, :], prefix_kv=prefix_kv,
-                                      use_cache=True)
-            else:
-                full = _embed_with_soft_prompt(model, token_ids, soft_prompt)
-                logits, cache = model(embeddings=full, prefix_kv=prefix_kv,
-                                      use_cache=True)
-    finally:
-        if was_training:
-            model.train()
-    return PrefillState(cache=cache, last_logits=logits.data[0, -1].copy(),
+    embeddings = infer.embed(model, token_ids[None, :])
+    if soft_prompt is not None:
+        rows = np.asarray(soft_prompt.data if isinstance(soft_prompt, Tensor)
+                          else soft_prompt, dtype=np.float32)
+        embeddings = np.concatenate([rows[None], embeddings], axis=1)
+    logits, cache = infer.prefill(model, embeddings, prefix_kv=prefix_kv)
+    return PrefillState(cache=cache, last_logits=logits[0, -1].copy(),
                         n_tokens=int(token_ids.size), virtual_len=virtual_len,
                         prefix_kv=prefix_kv)
 
@@ -177,30 +171,21 @@ def decode_from(
     budget = model.config.max_seq_len - state.virtual_len
     total = state.n_tokens
     logits = state.last_logits
-    cache = state.cache
+    caches = [state.cache]
+    prefixes = None if state.prefix_kv is None else [state.prefix_kv]
     generated: list[int] = []
-    was_training = model.training
-    if was_training:
-        model.eval()
-    try:
-        with no_grad():
-            for _ in range(config.max_new_tokens):
-                if total >= budget:
-                    break
-                if generated:
-                    step_out, cache = model(
-                        np.array([[generated[-1]]], dtype=np.int64),
-                        prefix_kv=state.prefix_kv, past_kv=cache,
-                        use_cache=True)
-                    logits = step_out.data[0, -1]
-                next_id = _sample(logits, config.temperature, rng)
-                if config.eos_id is not None and next_id == config.eos_id:
-                    break
-                generated.append(next_id)
-                total += 1
-    finally:
-        if was_training:
-            model.train()
+    for _ in range(config.max_new_tokens):
+        if total >= budget:
+            break
+        if generated:
+            step_logits, caches = infer.decode_span(
+                model, [np.array([generated[-1]])], caches, prefixes)
+            logits = step_logits[0, -1]
+        next_id = _sample(logits, config.temperature, rng)
+        if config.eos_id is not None and next_id == config.eos_id:
+            break
+        generated.append(next_id)
+        total += 1
     return np.asarray(generated, dtype=np.int64)
 
 
@@ -521,23 +506,14 @@ class DecodeScheduler:
     def _plain_round(self, n_expired: int) -> DecodeRoundReport:
         """The sequential-reference round: one token per sequence."""
         active = self._active
-        model = self.model
         tokens = np.array([seq.generated[-1] for seq in active],
                           dtype=np.int64)
         batched = BatchedKVCache.stack([seq.cache for seq in active])
         prefixes = None
         if any(seq.state.prefix_kv is not None for seq in active):
             prefixes = [seq.state.prefix_kv for seq in active]
-        was_training = model.training
-        if was_training:
-            model.eval()
-        try:
-            with no_grad():
-                logits, extended = model.decode_round(tokens, batched,
-                                                      prefix_kvs=prefixes)
-        finally:
-            if was_training:
-                model.train()
+        logits, extended = self.model.decode_round(tokens, batched,
+                                                   prefix_kvs=prefixes)
         emitted = 0
         logits_data = logits.data
         for i, (seq, cache) in enumerate(zip(active, extended.split())):

@@ -2,9 +2,16 @@
 
 A :class:`KVCache` holds, for every transformer layer, the keys and values
 of all positions processed so far, shaped ``(batch, heads, T, d_head)``.
-Caches are value-immutable: each forward pass with ``use_cache=True``
-returns a *new* cache whose tensors extend the old one (the old cache and
-its tensors are never mutated), so a prefill cache can be shared safely
+Two producers build them: the inference-only kernel of
+:mod:`repro.llm.infer` (prefill, decode rounds, the speculative verify —
+everything serving runs) and the autograd ``forward(use_cache=True)``,
+which training and the equivalence tests use.  Both lay the arrays out
+token-major (the memory order of the head-split projections), and the
+two are bit-identical.  (The speculative draft's proposal loop carves out
+head-major caches; draft numerics only steer, so their layout is free.)
+Caches are value-immutable: each forward returns
+a *new* cache whose tensors extend the old one (the old cache and its
+tensors are never mutated), so a prefill cache can be shared safely
 between many decodes — the basis of the serving engine's prefill reuse.
 
 A :class:`BatchedKVCache` groups many single-sequence caches so one decode
@@ -95,9 +102,10 @@ class KVCache:
         if length == self.seq_len:
             return self
         if copy:
+            # order="K" keeps the token-major layout (see module docstring).
             return KVCache([
-                (Tensor(np.ascontiguousarray(k.data[:, :, :length, :])),
-                 Tensor(np.ascontiguousarray(v.data[:, :, :length, :])))
+                (Tensor(k.data[:, :, :length, :].copy(order="K")),
+                 Tensor(v.data[:, :, :length, :].copy(order="K")))
                 for k, v in self._layers
             ])
         return KVCache([

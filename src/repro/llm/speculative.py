@@ -47,12 +47,14 @@ The draft fast path
 -------------------
 Because the draft only chooses *which* tokens to pre-compute, its
 forwards need to be deterministic but not bit-identical to the serving
-model's per-row reference path.  :class:`_FastDraft` exploits that: it
-runs the draft's weights through a plain-numpy, fully vectorised
-inference loop (padded batched attention, no autograd graph), which is
-several times cheaper than ``decode_round`` at the batch sizes drafting
-sees.  Token-identity of the *output* is untouched — the base model's
-verify forward still runs the bit-exact ``decode_span``.
+model's per-row kernel.  Catch-up feeds (a first-contact context, or a
+span missed during non-speculative rounds) run the causal prefill of
+:mod:`repro.llm.infer`; the proposal loop runs :class:`_DraftRound`,
+which reuses the same numpy ops over padded whole-batch K/V buffers
+(masked-window attention, no autograd graph) — several times cheaper
+than per-row attention at the batch sizes drafting sees.  Token-identity
+of the *output* is untouched — the base model's verify forward still
+runs the bit-exact ``decode_span``.
 """
 
 from __future__ import annotations
@@ -61,8 +63,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ag import QuantizedLinear, Tensor, no_grad
+from ..ag import Tensor
 from ..utils import Registry
+from . import infer
+from .infer import (_NEG_INF, _affine, _layer_norm, _logits, _mlp,
+                    _softmax_inplace)
 from .generation import (DecodeRoundReport, DecodeScheduler, DecodeSequence,
                          GenerationConfig, generate)
 from .kv_cache import BatchedKVCache, KVCache
@@ -208,126 +213,15 @@ def distill_draft(
 # ----------------------------------------------------------------------
 # The draft fast path
 # ----------------------------------------------------------------------
-_SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
-_GELU_COEFF = np.float32(0.044715)
-_NEG_INF = np.float32(-1e9)
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """GPT-2 tanh-approximation GELU (same formula as :func:`ag.gelu`)."""
-    inner = _SQRT_2_OVER_PI * (x + _GELU_COEFF * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
-
-
-def _layer_norm(x: np.ndarray, layer) -> np.ndarray:
-    """Numpy mirror of :class:`ag.LayerNorm` in eval mode."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered * (var + layer.eps) ** -0.5
-    return normed * layer.weight.data + layer.bias.data
-
-
-def _affine(layer, x: np.ndarray) -> np.ndarray:
-    """``x @ W + b`` on raw arrays for a dense or weight-quantized Linear.
-
-    The draft model may have been converted to :class:`ag.QuantizedLinear`
-    by the engine (quantizing the draft too is safe: proposals only steer,
-    the base verify decides every emitted token); the fused kernel is the
-    layer's own ``affine_numpy``.  ``bias`` may be None (the lm_head).
-    """
-    if isinstance(layer, QuantizedLinear):
-        return layer.affine_numpy(x)
-    out = x @ layer.weight.data
-    if layer.bias is not None:
-        out = out + layer.bias.data
-    return out
-
-
-def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
-
-
-class _FastDraft:
-    """Vectorised numpy inference over a draft :class:`TinyCausalLM`.
-
-    Proposals only need to be *deterministic* — the base model's verify
-    forward decides every emitted token — so this path trades the
-    serving model's per-row bit-exact attention for padded whole-batch
-    matmuls and skips the autograd graph entirely.  Weights are read
-    from the live module on every call, so distilling the draft after
-    constructing the decoder Just Works.
-
-    Caches are ordinary :class:`KVCache` objects (batch 1), which keeps
-    ``truncate``-based rollback identical to the base model's.
-    """
-
-    __slots__ = ("model",)
-
-    def __init__(self, model: TinyCausalLM):
-        self.model = model
-
-    # -- single sequence: prefill or ragged catch-up -------------------
-    def extend(self, ids: np.ndarray,
-               cache: KVCache | None) -> tuple[np.ndarray, KVCache]:
-        """Feed ``ids`` on top of ``cache``; return (last logits, cache).
-
-        Handles both the first-contact prefill (``cache is None``) and
-        the per-round catch-up over the rejected-then-repaired span;
-        positions within ``ids`` attend causally.
-        """
-        model = self.model
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        past_len = 0 if cache is None else cache.seq_len
-        length = ids.size
-        x = (model.token_embedding.weight.data[ids]
-             + model.position_embedding.weight.data[past_len:past_len + length])
-        layers: list[tuple[Tensor, Tensor]] = []
-        for index, block in enumerate(model.blocks):
-            attn = block.attn
-            n_heads, d_head = attn.n_heads, attn.d_head
-            h = _layer_norm(x, block.ln1)
-            q = _affine(attn.q_proj, h)
-            k = _affine(attn.k_proj, h)
-            v = _affine(attn.v_proj, h)
-            q = q.reshape(length, n_heads, d_head).transpose(1, 0, 2)
-            k = k.reshape(length, n_heads, d_head).transpose(1, 0, 2)
-            v = v.reshape(length, n_heads, d_head).transpose(1, 0, 2)
-            if cache is not None:
-                past_k, past_v = cache.layer(index)
-                k = np.concatenate([past_k.data[0], k], axis=1)
-                v = np.concatenate([past_v.data[0], v], axis=1)
-            layers.append((Tensor(k[None]), Tensor(v[None])))
-            scale = np.float32(1.0 / np.sqrt(d_head))
-            scores = np.matmul(q, k.swapaxes(-1, -2)) * scale
-            if length > 1:
-                blocked = np.triu(
-                    np.ones((length, past_len + length), dtype=bool),
-                    k=past_len + 1)
-                scores = np.where(blocked, _NEG_INF, scores)
-            context = np.matmul(_softmax_inplace(scores), v)
-            merged = context.transpose(1, 0, 2).reshape(length,
-                                                        n_heads * d_head)
-            x = x + _affine(attn.out_proj, merged)
-            h = _layer_norm(x, block.ln2)
-            x = x + _affine(block.ff2, _gelu(_affine(block.ff1, h)))
-        final = _layer_norm(x[-1:], model.ln_final)
-        logits = _affine(model.lm_head, final)[0]
-        return logits, KVCache(layers)
-
-    # -- whole batch: the proposal loop --------------------------------
-    def begin_round(self, caches: Sequence[KVCache],
-                    max_steps: int) -> "_DraftRound":
-        """Open padded K/V buffers over ``caches`` for up to ``max_steps``
-        decode steps per sequence (see :class:`_DraftRound`)."""
-        return _DraftRound(self.model, caches, max_steps)
-
-
 class _DraftRound:
     """Padded whole-batch K/V buffers for one round's proposal loop.
+
+    Proposals only need to be *deterministic* — the base model's verify
+    forward decides every emitted token — so this loop trades the exact
+    kernel's per-row attention for padded whole-batch matmuls over a
+    masked window (same numpy ops as :mod:`repro.llm.infer`, different
+    layout).  Weights are read from the live module on every call, so
+    distilling the draft after constructing the decoder Just Works.
 
     Built once per speculative round: every sequence's draft cache is
     copied into a ``(B, n_heads, capacity, d_head)`` buffer per layer
@@ -405,11 +299,8 @@ class _DraftRound:
             scores = np.where(blocked[:, None, None, :], _NEG_INF, scores)
             context = np.matmul(_softmax_inplace(scores), values)
             merged = context.reshape(rows_arr.size, n_heads * d_head)
-            x = x + _affine(attn.out_proj, merged)
-            h = _layer_norm(x, block.ln2)
-            x = x + _affine(block.ff2, _gelu(_affine(block.ff1, h)))
-        final = _layer_norm(x, model.ln_final)
-        return _affine(model.lm_head, final)
+            x = _mlp(x + _affine(attn.out_proj, merged), block)
+        return _logits(model, x)
 
     def cache_of(self, row: int, length: int) -> KVCache:
         """Sequence ``row``'s first ``length`` positions as a compact cache."""
@@ -474,7 +365,6 @@ class SpeculativeDecoder:
         self.policy = CONFIDENCE_POLICIES[policy]
         self.threshold = float(threshold)
         self.policy_params = dict(policy_params or {})
-        self._fast = _FastDraft(draft_model)
         # Pinned: advance() never toggles train/eval, so sharing one
         # decoder across concurrently-stepping schedulers is safe.
         draft_model.eval()
@@ -514,17 +404,8 @@ class SpeculativeDecoder:
         prefixes = None
         if any(seq.state.prefix_kv is not None for seq in active):
             prefixes = [seq.state.prefix_kv for seq in active]
-        model = scheduler.model
-        was_training = model.training
-        if was_training:
-            model.eval()
-        try:
-            with no_grad():
-                logits, extended = model.decode_span(spans, batched,
-                                                     prefix_kvs=prefixes)
-        finally:
-            if was_training:
-                model.train()
+        logits, extended = scheduler.model.decode_span(
+            spans, batched, prefix_kvs=prefixes)
         scheduler.forwards += 1
 
         logits_data = logits.data
@@ -607,17 +488,18 @@ class SpeculativeDecoder:
         if not states:
             return proposals, states
 
-        fast = self._fast
         # Catch-up, slow cases first: first-contact sequences feed their
         # whole context, sequences that lagged through non-speculative
-        # rounds feed the missed span.  Both land on a cache covering the
-        # full context.
+        # rounds feed the missed span — one causal prefill forward each.
+        # Both land on a cache covering the full context.
         for state in states:
             if state.seq.draft_cache is None \
                     or state.ctx_len - state.seq.draft_len > 1:
                 span = state.seq.context_ids()[state.seq.draft_len:]
-                state.logits, cache = fast.extend(span,
-                                                  state.seq.draft_cache)
+                logits, cache = infer.prefill(
+                    draft, infer.embed(draft, span[None, :]),
+                    past=state.seq.draft_cache)
+                state.logits = logits[0, -1]
                 scheduler.draft_forwards += 1
                 state.seq.draft_cache = cache
                 state.seq.draft_len = state.ctx_len
@@ -625,8 +507,9 @@ class SpeculativeDecoder:
         # Open the round's padded buffers, then fold the common catch-up
         # case — a returning sequence is exactly one token behind (the
         # previous verify's bonus/repair token) — into the first step.
-        draft_round = fast.begin_round(
-            [state.seq.draft_cache for state in states], self.max_draft + 1)
+        draft_round = _DraftRound(
+            draft, [state.seq.draft_cache for state in states],
+            self.max_draft + 1)
         returning: list[_DraftState] = []
         for row, state in enumerate(states):
             state.round = draft_round

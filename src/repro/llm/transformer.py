@@ -13,13 +13,17 @@ use_cache=True)`` processes only the *new* positions against a
 embeddings are offset by the cached length) and returns the extended cache
 alongside the logits.
 
-Cross-sequence batched decoding adds a fourth: :meth:`TinyCausalLM.
-decode_round` advances *many independent sequences* by one token in a
-single forward.  Each sequence carries its own ragged-length cache (a
-:class:`~repro.llm.kv_cache.BatchedKVCache`) and its own position offset;
-the dense sublayers run as one stacked forward while attention composes
-per-sequence compact caches, so every row of the returned logits is
-bit-identical to stepping that sequence alone through ``forward``.
+``forward`` is the autograd path: training uses it, and it is the
+equivalence oracle for inference.  Serving never calls it.  The
+inference-only entry points — :meth:`TinyCausalLM.decode_round` (advance
+many independent sequences by one token) and :meth:`TinyCausalLM.
+decode_span` (a ragged number of tokens each, the speculative verify) —
+are thin wrappers over the no-autograd kernel in :mod:`repro.llm.infer`,
+which also serves ``prefill()`` and ``decode_from()``.  Each sequence
+carries its own ragged-length cache (a :class:`~repro.llm.kv_cache.
+BatchedKVCache`) and position offset, and every row of the returned
+logits is bit-identical to stepping that sequence alone through
+``forward``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from ..ag import Embedding, Dropout, LayerNorm, Linear, Module, Tensor, gelu
+from . import infer
 from .attention import KVPrefix, MultiHeadSelfAttention
 from .kv_cache import BatchedKVCache, KVCache
 from ..utils import rng_from_seed
@@ -89,33 +94,6 @@ class TransformerBlock(Module):
         if use_cache:
             return x, present
         return x
-
-    def decode_step(
-        self,
-        x: Tensor,
-        past: Sequence[KVPrefix],
-        prefix_kv: Sequence[KVPrefix | None] | None = None,
-    ) -> tuple[Tensor, list[KVPrefix]]:
-        """One batched decode round through this block (see attention)."""
-        attended, present = self.attn.decode_step(self.ln1(x), past,
-                                                  prefix_kv)
-        x = x + attended
-        x = x + self.drop(self.ff2(gelu(self.ff1(self.ln2(x)))))
-        return x, present
-
-    def decode_span_step(
-        self,
-        x: Tensor,
-        past: Sequence[KVPrefix],
-        spans: Sequence[int],
-        prefix_kv: Sequence[KVPrefix | None] | None = None,
-    ) -> tuple[Tensor, list[KVPrefix]]:
-        """One ragged multi-position decode round (see attention)."""
-        attended, present = self.attn.decode_span_step(self.ln1(x), past,
-                                                       spans, prefix_kv)
-        x = x + attended
-        x = x + self.drop(self.ff2(gelu(self.ff1(self.ln2(x)))))
-        return x, present
 
 
 class TinyCausalLM(Module):
@@ -230,6 +208,8 @@ class TinyCausalLM(Module):
         return logits
 
     # ------------------------------------------------------------------
+    # Inference-only forwards (no autograd; see repro.llm.infer)
+    # ------------------------------------------------------------------
     def decode_round(
         self,
         token_ids: np.ndarray,
@@ -252,55 +232,15 @@ class TinyCausalLM(Module):
             new cache extends every sequence by one position.  Row ``i``
             is bit-identical to a single-sequence ``forward`` step with
             ``past_kv=cache.sequence(i)``, which is what makes batched
-            serving answers token-identical to sequential ones.
+            serving answers token-identical to sequential ones.  Runs the
+            no-autograd kernel (:func:`repro.llm.infer.decode_span` with
+            every span 1), always in eval semantics.
         """
-        ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-        if cache.n_layers != len(self.blocks):
-            raise ValueError(
-                f"cache has {cache.n_layers} layers for "
-                f"{len(self.blocks)} blocks"
-            )
-        if ids.size != cache.batch_size:
-            raise ValueError(
-                f"{ids.size} tokens for {cache.batch_size} cached sequences"
-            )
-        if prefix_kvs is not None:
-            if len(prefix_kvs) != cache.batch_size:
-                raise ValueError(
-                    f"{len(prefix_kvs)} prefix entries for "
-                    f"{cache.batch_size} sequences"
-                )
-            for prefix in prefix_kvs:
-                if prefix is not None and len(prefix) != len(self.blocks):
-                    raise ValueError(
-                        f"prefix_kv has {len(prefix)} entries for "
-                        f"{len(self.blocks)} layers"
-                    )
-        lengths = cache.lengths
-        if int(lengths.max()) + 1 > self.config.max_seq_len:
-            raise ValueError(
-                f"a sequence of {int(lengths.max()) + 1} exceeds "
-                f"max_seq_len={self.config.max_seq_len}"
-            )
-        # Each sequence's new token sits at its own next position.
-        x = (self.token_embedding(ids[:, None])
-             + self.position_embedding(lengths[:, None]))
-        present_layers: list[list[KVPrefix]] = []
-        for i, block in enumerate(self.blocks):
-            prefix_i = None
-            if prefix_kvs is not None:
-                prefix_i = [None if p is None else p[i] for p in prefix_kvs]
-            x, layer_present = block.decode_step(x, cache.layer_slices(i),
-                                                 prefix_i)
-            present_layers.append(layer_present)
-        logits = self.lm_head(self.ln_final(x))
-        new_caches = [
-            KVCache([layer[s] for layer in present_layers])
-            for s in range(cache.batch_size)
-        ]
-        return logits, BatchedKVCache(new_caches)
+        ids = np.asarray(token_ids, dtype=np.int64).reshape(-1, 1)
+        logits, caches = infer.decode_span(self, ids, cache.split(),
+                                           prefix_kvs)
+        return Tensor(logits), BatchedKVCache(caches)
 
-    # ------------------------------------------------------------------
     def decode_span(
         self,
         token_spans: Sequence[np.ndarray],
@@ -313,11 +253,9 @@ class TinyCausalLM(Module):
         The verify forward of speculative decoding: sequence ``s`` feeds
         ``token_spans[s]`` (its last accepted token followed by the
         drafted continuation) and gets back one logits row per fed token.
-        Every new position occupies its own batch-of-one slice, so each
-        row of the result is bit-identical to advancing that sequence
-        one token at a time through :meth:`decode_round` — speculative
-        acceptance decisions therefore reproduce sequential greedy
-        decoding exactly instead of approximately.
+        Every row is bit-identical to advancing that sequence one token
+        at a time through :meth:`decode_round`, so speculative acceptance
+        decisions reproduce sequential greedy decoding exactly.
 
         Args:
             token_spans: per-sequence 1-D arrays of token ids, each of
@@ -335,58 +273,6 @@ class TinyCausalLM(Module):
             rejected suffixes with :meth:`KVCache.truncate
             <repro.llm.kv_cache.KVCache.truncate>`.
         """
-        spans = [np.asarray(span, dtype=np.int64).reshape(-1)
-                 for span in token_spans]
-        if any(span.size == 0 for span in spans):
-            raise ValueError("every token span must hold at least one token")
-        if cache.n_layers != len(self.blocks):
-            raise ValueError(
-                f"cache has {cache.n_layers} layers for "
-                f"{len(self.blocks)} blocks"
-            )
-        if len(spans) != cache.batch_size:
-            raise ValueError(
-                f"{len(spans)} token spans for "
-                f"{cache.batch_size} cached sequences"
-            )
-        if prefix_kvs is not None:
-            if len(prefix_kvs) != cache.batch_size:
-                raise ValueError(
-                    f"{len(prefix_kvs)} prefix entries for "
-                    f"{cache.batch_size} sequences"
-                )
-            for prefix in prefix_kvs:
-                if prefix is not None and len(prefix) != len(self.blocks):
-                    raise ValueError(
-                        f"prefix_kv has {len(prefix)} entries for "
-                        f"{len(self.blocks)} layers"
-                    )
-        lengths = cache.lengths
-        span_lens = [span.size for span in spans]
-        for s, span_len in enumerate(span_lens):
-            if int(lengths[s]) + span_len > self.config.max_seq_len:
-                raise ValueError(
-                    f"a sequence of {int(lengths[s]) + span_len} exceeds "
-                    f"max_seq_len={self.config.max_seq_len}"
-                )
-        ids = np.concatenate(spans)
-        positions = np.concatenate([
-            np.arange(lengths[s], lengths[s] + span_lens[s], dtype=np.int64)
-            for s in range(cache.batch_size)
-        ])
-        x = (self.token_embedding(ids[:, None])
-             + self.position_embedding(positions[:, None]))
-        present_layers: list[list[KVPrefix]] = []
-        for i, block in enumerate(self.blocks):
-            prefix_i = None
-            if prefix_kvs is not None:
-                prefix_i = [None if p is None else p[i] for p in prefix_kvs]
-            x, layer_present = block.decode_span_step(
-                x, cache.layer_slices(i), span_lens, prefix_i)
-            present_layers.append(layer_present)
-        logits = self.lm_head(self.ln_final(x))
-        new_caches = [
-            KVCache([layer[s] for layer in present_layers])
-            for s in range(cache.batch_size)
-        ]
-        return logits, BatchedKVCache(new_caches)
+        logits, caches = infer.decode_span(self, token_spans, cache.split(),
+                                           prefix_kvs)
+        return Tensor(logits), BatchedKVCache(caches)

@@ -18,6 +18,7 @@ from repro.llm import (
     decode_batch,
     decode_from,
     prefill,
+    quantize_model,
 )
 from repro.llm.transformer import LMConfig
 
@@ -67,19 +68,38 @@ def assert_matches_sequential(model, states, configs, results):
                                       decode_from(model, state, config))
 
 
+def check_batched_matches_sequential(temperature, conditioning,
+                                     base_quantization=None):
+    model = tiny_model(seed=2)
+    if base_quantization is not None:
+        quantize_model(model, base_quantization)
+    states = ragged_states(model, [3, 9, 5, 12, 7],
+                           conditioning=conditioning)
+    configs = [GenerationConfig(max_new_tokens=10,
+                                temperature=temperature, seed=7 + i)
+               for i in range(len(states))]
+    results = decode_batch(model, states, configs)
+    assert_matches_sequential(model, states, configs, results)
+
+
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
     @pytest.mark.parametrize("conditioning",
                              ["plain", "soft", "prefix", "both"])
     def test_batched_matches_sequential(self, temperature, conditioning):
-        model = tiny_model(seed=2)
-        states = ragged_states(model, [3, 9, 5, 12, 7],
-                               conditioning=conditioning)
-        configs = [GenerationConfig(max_new_tokens=10,
-                                    temperature=temperature, seed=7 + i)
-                   for i in range(len(states))]
-        results = decode_batch(model, states, configs)
-        assert_matches_sequential(model, states, configs, results)
+        check_batched_matches_sequential(temperature, conditioning)
+
+    @pytest.mark.parametrize("base_quantization", ["int8", "int4"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    @pytest.mark.parametrize("conditioning",
+                             ["plain", "soft", "prefix", "both"])
+    def test_batched_matches_sequential_quantized(self, temperature,
+                                                  conditioning,
+                                                  base_quantization):
+        """The base_quantization axis of the matrix above: a packed
+        int8/int4 base must batch exactly as the float one does."""
+        check_batched_matches_sequential(temperature, conditioning,
+                                         base_quantization)
 
     def test_mixed_conditioning_in_one_batch(self):
         """Users with and without soft prompts / prefixes share rounds."""

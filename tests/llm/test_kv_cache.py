@@ -9,7 +9,7 @@ greedy and seeded sampling.
 import numpy as np
 import pytest
 
-from repro.ag import Tensor
+from repro.ag import Tensor, no_grad
 from repro.llm import (
     BatchedKVCache,
     GenerationConfig,
@@ -17,7 +17,9 @@ from repro.llm import (
     TinyCausalLM,
     decode_from,
     generate,
+    infer,
     prefill,
+    quantize_model,
 )
 from repro.llm.attention import MultiHeadSelfAttention
 from repro.llm.transformer import LMConfig
@@ -44,6 +46,38 @@ def make_soft_prompt(model, rows=4, seed=5):
     rng = np.random.default_rng(seed)
     return rng.normal(0, 1.0, size=(rows, model.config.d_model)) \
               .astype(np.float32)
+
+
+def quantized_model(base_quantization, seed=2):
+    """A tiny model, converted to the packed int8/int4 path unless None.
+
+    Biases and LayerNorm affines start at zeros/ones; they are perturbed
+    here so that a misplaced or doubled bias add cannot go unnoticed.
+    """
+    model = tiny_model(seed=seed)
+    rng = np.random.default_rng(seed)
+    for param in model.parameters():
+        if param.data.ndim == 1:
+            param.data = param.data + rng.normal(
+                0.0, 0.2, size=param.data.shape).astype(np.float32)
+    if base_quantization is not None:
+        quantize_model(model, base_quantization)
+    return model
+
+
+def assert_bitwise(actual, expected):
+    """Same shape and the same bytes (stricter than value equality)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_caches_bitwise(actual, expected):
+    assert actual.n_layers == expected.n_layers
+    for layer in range(expected.n_layers):
+        for got, want in zip(actual.layer(layer), expected.layer(layer)):
+            assert_bitwise(got.data, want.data)
 
 
 class TestAttentionPastKV:
@@ -273,6 +307,109 @@ class TestGenerateEquivalence:
         b = generate(model, np.arange(1, 6), config, use_cache=True)
         np.testing.assert_array_equal(a, b)
         assert 5 + a.size == 12      # both fill the context exactly
+
+
+QUANTIZATION = [None, "int8", "int4"]
+CONDITIONING = ["plain", "soft", "prefix"]
+
+
+class TestInferenceKernelOracle:
+    """The no-autograd kernel (``repro.llm.infer``) serves every inference
+    forward; the autograd ``forward`` is its oracle.  Logits and cached
+    keys/values must match it bit for bit, for the float and both packed
+    bases and every conditioning mode."""
+
+    @staticmethod
+    def _conditioning(model, conditioning):
+        soft = make_soft_prompt(model) if conditioning == "soft" else None
+        prefix = make_prefix(model) if conditioning == "prefix" else None
+        return soft, prefix
+
+    @staticmethod
+    def _embeddings(model, ids, soft):
+        embeddings = model.embed(ids[None, :]).data
+        if soft is not None:
+            embeddings = np.concatenate([soft[None], embeddings], axis=1)
+        return embeddings
+
+    @pytest.mark.parametrize("conditioning", CONDITIONING)
+    @pytest.mark.parametrize("base_quantization", QUANTIZATION)
+    def test_prefill_matches_autograd(self, base_quantization, conditioning):
+        model = quantized_model(base_quantization)
+        soft, prefix = self._conditioning(model, conditioning)
+        ids = np.array([2, 5, 8, 1, 7])
+        embeddings = self._embeddings(model, ids, soft)
+        with no_grad():
+            expected, expected_cache = model(embeddings=Tensor(embeddings),
+                                             prefix_kv=prefix,
+                                             use_cache=True)
+        logits, cache = infer.prefill(model, embeddings, prefix_kv=prefix)
+        assert_bitwise(logits, expected.data)
+        assert_caches_bitwise(cache, expected_cache)
+        state = prefill(model, ids, soft_prompt=soft, prefix_kv=prefix)
+        assert_bitwise(state.last_logits, expected.data[0, -1])
+        assert_caches_bitwise(state.cache, expected_cache)
+
+    @pytest.mark.parametrize("conditioning", CONDITIONING)
+    @pytest.mark.parametrize("base_quantization", QUANTIZATION)
+    def test_span_rows_match_autograd_steps(self, base_quantization,
+                                            conditioning):
+        """Ragged spans of two sequences in one call equal one-token
+        ``forward(past_kv=..., use_cache=True)`` steps of each alone."""
+        model = quantized_model(base_quantization)
+        soft, prefix = self._conditioning(model, conditioning)
+        prompts = [np.array([3, 9, 4]), np.array([6, 1, 2, 8, 5, 11])]
+        spans = [np.array([7, 2, 13, 4]), np.array([10])]
+        caches, expected_rows, expected_caches = [], [], []
+        for ids, span in zip(prompts, spans):
+            cache = prefill(model, ids, soft_prompt=soft,
+                            prefix_kv=prefix).cache
+            caches.append(cache)
+            with no_grad():
+                for token in span:
+                    step, cache = model(np.array([[token]]),
+                                        prefix_kv=prefix, past_kv=cache,
+                                        use_cache=True)
+                    expected_rows.append(step.data[0])
+            expected_caches.append(cache)
+        prefixes = None if prefix is None else [prefix, prefix]
+        logits, extended = infer.decode_span(model, spans, caches, prefixes)
+        assert_bitwise(logits, np.stack(expected_rows))
+        for got, want in zip(extended, expected_caches):
+            assert_caches_bitwise(got, want)
+
+    @pytest.mark.parametrize("base_quantization", QUANTIZATION)
+    def test_decode_round_and_decode_from_match_autograd(self,
+                                                         base_quantization):
+        model = quantized_model(base_quantization)
+        prefix = make_prefix(model)
+        state = prefill(model, np.array([4, 2, 6]), prefix_kv=prefix)
+        config = GenerationConfig(max_new_tokens=6, temperature=0.0)
+        tokens = decode_from(model, state, config)
+        logits, cache = state.last_logits, state.cache
+        with no_grad():
+            for token in tokens:
+                assert int(np.argmax(logits)) == token
+                step, cache = model(np.array([[token]]), prefix_kv=prefix,
+                                    past_kv=cache, use_cache=True)
+                logits = step.data[0, -1]
+        round_logits, extended = model.decode_round(
+            np.array([tokens[0]]), BatchedKVCache.stack([state.cache]),
+            prefix_kvs=[prefix])
+        with no_grad():
+            expected, expected_cache = model(
+                np.array([[tokens[0]]]), prefix_kv=prefix,
+                past_kv=state.cache, use_cache=True)
+        assert_bitwise(round_logits.data, expected.data)
+        assert_caches_bitwise(extended.sequence(0), expected_cache)
+
+    def test_inference_never_toggles_module_mode(self):
+        model = tiny_model()
+        model.train()
+        state = prefill(model, np.array([1, 2, 3]))
+        model.decode_round(np.array([4]), BatchedKVCache.stack([state.cache]))
+        assert model.training and all(block.training
+                                      for block in model.blocks)
 
 
 class TestOverlongPromptRejected:

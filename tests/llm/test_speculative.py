@@ -23,6 +23,7 @@ from repro.llm import (
     distill_draft,
     draft_spec,
     prefill,
+    quantize_model,
 )
 from repro.llm.registry import MODEL_REGISTRY, EdgeModelSpec
 from repro.llm.speculative import (
@@ -70,6 +71,19 @@ def assert_matches_sequential(model, states, configs, results):
     for state, config, result in zip(states, configs, results):
         np.testing.assert_array_equal(result,
                                       decode_from(model, state, config))
+
+
+def check_matches_sequential_at_batch(batch, base_quantization=None):
+    model, draft = tiny_base(seed=6), tiny_draft(seed=7)
+    if base_quantization is not None:
+        quantize_model(model, base_quantization)
+        quantize_model(draft, base_quantization)
+    states, prompts = ragged_states(model, [4 + i for i in range(batch)])
+    configs = [GenerationConfig(max_new_tokens=8, temperature=0.0)
+               for _ in states]
+    spec = SpeculativeDecoder(draft, max_draft=4, threshold=0.0)
+    results, _ = run_speculative(model, states, prompts, configs, spec)
+    assert_matches_sequential(model, states, configs, results)
 
 
 # ----------------------------------------------------------------------
@@ -174,13 +188,15 @@ class TestTokenIdentity:
 
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_matches_sequential_across_batch_sizes(self, batch):
-        model, draft = tiny_base(seed=6), tiny_draft(seed=7)
-        states, prompts = ragged_states(model, [4 + i for i in range(batch)])
-        configs = [GenerationConfig(max_new_tokens=8, temperature=0.0)
-                   for _ in states]
-        spec = SpeculativeDecoder(draft, max_draft=4, threshold=0.0)
-        results, _ = run_speculative(model, states, prompts, configs, spec)
-        assert_matches_sequential(model, states, configs, results)
+        check_matches_sequential_at_batch(batch)
+
+    @pytest.mark.parametrize("base_quantization", ["int8", "int4"])
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_matches_sequential_across_batch_sizes_quantized(
+            self, batch, base_quantization):
+        """The base_quantization axis of the test above: packed base and
+        draft (as the serving engine converts them) verify exactly."""
+        check_matches_sequential_at_batch(batch, base_quantization)
 
     def test_distilled_draft_accepts_and_stays_identical(self):
         from repro.llm import PretrainConfig

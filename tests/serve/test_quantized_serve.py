@@ -1,6 +1,7 @@
 """Serving on a weight-quantized base model: determinism, stats, config."""
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -119,6 +120,34 @@ class TestQuantizedServing:
 
 
 class TestQuantizedSpeculative:
+    @pytest.mark.parametrize("mode", ["int8", "int4"])
+    def test_batched_and_speculative_match_sequential(self, setup, mode):
+        """answer_batch over a packed base — plain rounds and speculative
+        rounds with a packed draft — equals the sequential reference."""
+        model, tok = setup
+        config = FrameworkConfig.preset("fast").replace(
+            base_quantization=mode)
+        generation = GenerationConfig(max_new_tokens=10, temperature=0.0,
+                                      eos_id=tok.eos_id)
+        tunes, queries = trace(tok)
+        queries = [dataclasses.replace(query, generation=generation)
+                   for query in queries]
+
+        def answers(batched, speculative=None):
+            engine = PromptServeEngine(copy.deepcopy(model), tok, config,
+                                       max_sessions=4,
+                                       speculative=speculative)
+            for request in tunes:
+                engine.submit(request)
+            return [response.answer for response
+                    in engine.answer_batch(queries, batched=batched)]
+
+        sequential = answers(batched=False)
+        assert answers(batched=True) == sequential
+        draft = build_draft_model("phi-2-sim", tok.vocab_size)
+        spec = SpeculativeDecoder(draft, max_draft=3, threshold=0.0)
+        assert answers(batched=True, speculative=spec) == sequential
+
     def test_speculative_answers_match_plain_quantized(self, setup):
         model, tok = setup
         draft = build_draft_model("phi-2-sim", tok.vocab_size)
